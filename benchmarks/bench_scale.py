@@ -601,7 +601,7 @@ def run_ablation(*, quick: bool) -> list[dict]:
     """
     sizes = QUICK if quick else FULL
     rows = []
-    for eviction in ("lru", "2q", "clock"):
+    for eviction in ("lru", "2q"):
         for flush_batch, read_ahead in (
             (0, 0), (sizes.flush_batch, sizes.read_ahead),
         ):

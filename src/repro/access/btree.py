@@ -392,8 +392,8 @@ class BTree:
             self.root_pid, page_size=self.buffer.disk.page_size
         )
         new_root.children = [moved.page_id]
+        self.buffer.replace_page(moved)   # new page first, as in time splits
         self.buffer.replace_page(new_root)
-        self.buffer.replace_page(moved)
         if self.route_cache is not None:
             self.route_cache.invalidate(leaf.page_id)
         self.stats.root_growths += 1
@@ -474,8 +474,10 @@ class BTree:
         if outcome.moved == 0 and outcome.stubs_dropped == 0:
             return False
         self.stats.time_splits += 1
-        self.buffer.replace_page(outcome.current)
+        # New page first: its admission may evict and write back, and until
+        # the SMO is logged only the leaf's old, logged image may reach disk.
         self.buffer.replace_page(outcome.history)
+        self.buffer.replace_page(outcome.current)
         if self.route_cache is not None:
             self.route_cache.on_time_split(outcome)
         affected: list[Page] = [outcome.current, outcome.history]
@@ -548,8 +550,8 @@ class BTree:
         if self.route_cache is not None:
             self.route_cache.invalidate(leaf.page_id)
         self.stats.key_splits += 1
+        self.buffer.replace_page(right)   # new page first, as in time splits
         self.buffer.replace_page(left)
-        self.buffer.replace_page(right)
         parent, child_index = path[-1]
         parent.seps.insert(child_index, sep)
         parent.children.insert(child_index + 1, right.page_id)

@@ -22,28 +22,34 @@ has been synced.
 
 Records are addressed by **logical index** (their position in the record
 sequence), which stays stable across reopen because the durable prefix is
-immutable.  The file variant frames each record as
-``type(1) length(4) crc32(4) payload`` and stops its opening scan at the
-first torn or corrupt frame, mirroring how the WAL tolerates a torn tail.
+immutable.  The file variant writes each record as one
+:mod:`repro.framing` frame whose CRC-covered payload is ``type(1) + body``,
+and stops its opening scan at the first torn or corrupt frame, exactly as
+the WAL does — a damaged type byte is a damaged frame, never a misread
+record.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 
+from repro import framing
 from repro.clock import Timestamp
 from repro.errors import StorageError
 
 RECORD_BLOCK = 0
 RECORD_MANIFEST = 1
 
-_FRAME = struct.Struct(">BII")  # type, payload length, crc32(payload)
-
 MANIFEST_FORMAT = 1
+
+
+def _frames(records: list[tuple[int, bytes]]) -> bytes:
+    """The file bytes of ``records``: one frame each, type byte inside."""
+    return b"".join(
+        framing.encode(bytes((rtype,)) + payload) for rtype, payload in records
+    )
 
 
 class ArchiveStoreError(StorageError):
@@ -157,14 +163,9 @@ class ArchiveStore:
             with open(self.path, "rb") as fh:
                 data = fh.read()
             offset = 0
-            while offset + _FRAME.size <= len(data):
-                rtype, length, crc = _FRAME.unpack_from(data, offset)
-                start = offset + _FRAME.size
-                payload = data[start : start + length]
-                if len(payload) != length or zlib.crc32(payload) != crc:
-                    break  # torn tail: ignore it, like the WAL does
-                self._records.append((rtype, payload))
-                offset = start + length
+            for start, payload in framing.scan(data):
+                self._records.append((payload[0], payload[1:]))
+                offset = start + framing.HEADER_SIZE + len(payload)
             self.durable_count = len(self._records)
             # Reopen truncated to the clean prefix so appends land after it.
             self._file = open(self.path, "r+b")
@@ -191,11 +192,9 @@ class ArchiveStore:
     def sync(self) -> None:
         """Make every buffered record durable (file: write+flush+fsync)."""
         if self._file is not None and self.durable_count < len(self._records):
-            for rtype, payload in self._records[self.durable_count :]:
-                self._file.write(
-                    _FRAME.pack(rtype, len(payload), zlib.crc32(payload))
-                )
-                self._file.write(payload)
+            self._file.write(
+                _frames(self._records[self.durable_count :])
+            )
             self._file.flush()
             os.fsync(self._file.fileno())
         self.durable_count = len(self._records)
@@ -217,11 +216,7 @@ class ArchiveStore:
         if self._file is None:
             return
         with open(self.path + ".compact", "wb") as tmp:
-            for rtype, payload in records:
-                tmp.write(
-                    _FRAME.pack(rtype, len(payload), zlib.crc32(payload))
-                )
-                tmp.write(payload)
+            tmp.write(_frames(records))
             tmp.flush()
             os.fsync(tmp.fileno())
 

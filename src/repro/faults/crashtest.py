@@ -1106,7 +1106,7 @@ def main(argv: list[str] | None = None) -> int:
         help="enable the as-of route cache and probe marks mid-workload",
     )
     parser.add_argument(
-        "--eviction", choices=("lru", "2q", "clock"),
+        "--eviction", choices=("lru", "2q"),
         default=CrashTestConfig.eviction,
         help="buffer eviction policy for the workload database",
     )

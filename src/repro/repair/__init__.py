@@ -4,9 +4,9 @@ PR 1 gave the engine *detection*: page checksums turn torn writes and
 bit-rot into typed :class:`~repro.errors.ChecksumError`\\ s.  This package
 adds *survival* — the missing half of media robustness:
 
-* :class:`~repro.repair.archive.LogArchive` — a continuous archive of every
+* :class:`~repro.repair.logarchive.LogArchive` — a continuous archive of every
   durable log record, indexed by the pages each record touches;
-* :class:`~repro.repair.archive.PageBackup` — a fuzzy online page backup,
+* :class:`~repro.repair.logarchive.PageBackup` — a fuzzy online page backup,
   refreshed at flush checkpoints without stopping the engine;
 * :func:`~repro.repair.restore.restore_page` — ARIES-style single-page
   restore: backup image + redo of archived records by page LSN;
@@ -23,7 +23,7 @@ Everything here is off by default (``media_recovery=False`` on the engine),
 so the figure benchmarks and the crash-point enumeration are unchanged.
 """
 
-from repro.repair.archive import LogArchive, PageBackup
+from repro.repair.logarchive import LogArchive, PageBackup
 from repro.repair.manager import MediaRecoveryManager, RepairStats
 from repro.repair.quarantine import Degraded, QuarantineEntry, QuarantineManager
 from repro.repair.restore import RestoreOutcome, restore_page

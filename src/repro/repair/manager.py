@@ -35,7 +35,7 @@ from repro.errors import (
     PageQuarantinedError,
     StorageError,
 )
-from repro.repair.archive import LogArchive, PageBackup
+from repro.repair.logarchive import LogArchive, PageBackup
 from repro.repair.quarantine import QuarantineManager
 from repro.repair.restore import restore_page
 from repro.timestamp.ptt import PTTNodePage

@@ -7,6 +7,12 @@ backoff (:class:`~repro.storage.disk.RetryPolicy` steps), and the server's
 idempotency cache turns the retry into exactly-once delivery.  Overload
 (``status="overloaded"``) is returned to the caller, not retried blindly —
 the caller owns the pacing decision the ``retry_after_ms`` hint feeds.
+
+The request loop here is the only one:
+:class:`~repro.service.transport.LoopbackConnection` subclasses
+:class:`ServiceClient` and replaces just the wire (``_exchange``,
+``_disconnect``, ``close``), so the crashtest's service sweeps exercise
+this retry and bracket discipline, not a copy.
 """
 
 from __future__ import annotations
@@ -110,7 +116,8 @@ class ServiceClient:
             if attempt > 1:
                 self.reconnects += 1
                 steps = self.retry_policy.backoff_steps(attempt - 1)
-                time.sleep(steps * self.retry_step_ms / 1000.0)
+                if self.retry_step_ms:
+                    time.sleep(steps * self.retry_step_ms / 1000.0)
             # Captured BEFORE the attempt so nothing inside _exchange can
             # clear it: a loss while the bracket was open is never retried.
             in_bracket = self._bracket_open

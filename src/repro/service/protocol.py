@@ -1,8 +1,7 @@
 """Wire protocol: length-prefixed, CRC-framed JSON messages.
 
-Frames reuse the file WAL's shape (``repro.wal.filelog``): a big-endian
-4-byte payload length, a 4-byte CRC32 of the payload, then the payload.
-The CRC turns torn or garbled frames into a typed
+Frames are :mod:`repro.framing` frames, the same envelope the WAL file
+uses.  The CRC turns torn or garbled frames into a typed
 :class:`~repro.errors.TornFrameError` instead of silent misparses — the
 same role it plays for the log's crash tail.
 
@@ -19,22 +18,18 @@ Responses carry ``{"id": ..., "status": ..., ...}`` with status one of
 ``error`` (typed engine/SQL error), ``overloaded`` (admission rejection,
 with ``retry_after_ms``), ``timeout``, or ``bye`` (drain/close notice).
 
-:class:`FrameDecoder` is incremental: feed it arbitrary byte chunks (a
-slow-loris client delivering one byte at a time is fine) and it yields
-complete payloads as they close.
+:class:`~repro.framing.FrameDecoder` is incremental: feed it arbitrary
+byte chunks (a slow-loris client delivering one byte at a time is fine) and
+it yields complete payloads as they close.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 
-from repro.errors import ProtocolError, TornFrameError
-
-_HEADER = struct.Struct(">II")     # payload length, crc32(payload)
-HEADER_SIZE = _HEADER.size
-MAX_FRAME = 16 * 1024 * 1024       # refuse absurd lengths before allocating
+from repro.errors import ProtocolError
+# FrameDecoder and MAX_FRAME are re-exported: the wire's stream decoder.
+from repro.framing import MAX_FRAME, FrameDecoder, encode  # noqa: F401
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -44,17 +39,12 @@ STATUS_TIMEOUT = "timeout"
 STATUS_BYE = "bye"
 
 
-def encode_frame(payload: bytes) -> bytes:
-    """Wrap a payload in the length+CRC header."""
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-
 def encode_message(message: dict) -> bytes:
     """JSON-encode a message dict and frame it."""
     payload = json.dumps(
         message, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
-    return encode_frame(payload)
+    return encode(payload)
 
 
 def decode_message(payload: bytes) -> dict:
@@ -65,45 +55,6 @@ def decode_message(payload: bytes) -> dict:
     if not isinstance(message, dict):
         raise ProtocolError("frame payload must be a JSON object")
     return message
-
-
-class FrameDecoder:
-    """Incremental frame reassembly over an arbitrary chunk stream."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[bytes]:
-        """Append bytes; return every payload that completed.
-
-        Raises :class:`TornFrameError` on a CRC mismatch or an impossible
-        length — after that, the stream cannot be trusted (there is no way
-        to find the next frame boundary) and the connection must close.
-        """
-        self._buf.extend(data)
-        payloads: list[bytes] = []
-        while True:
-            if len(self._buf) < HEADER_SIZE:
-                return payloads
-            length, crc = _HEADER.unpack_from(self._buf)
-            if length > MAX_FRAME:
-                raise TornFrameError(
-                    f"frame claims {length} bytes (max {MAX_FRAME}); "
-                    "framing sync lost"
-                )
-            if len(self._buf) < HEADER_SIZE + length:
-                return payloads
-            payload = bytes(self._buf[HEADER_SIZE:HEADER_SIZE + length])
-            if zlib.crc32(payload) != crc:
-                raise TornFrameError(
-                    "frame payload failed its CRC32 check; framing sync lost"
-                )
-            del self._buf[:HEADER_SIZE + length]
-            payloads.append(payload)
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buf)
 
 
 # -- response constructors (the server's half of the protocol) ---------------

@@ -1,6 +1,7 @@
 """Deterministic in-process transport: the wire without the sockets.
 
-:class:`LoopbackConnection` round-trips every request through the real
+:class:`LoopbackConnection` is a :class:`~repro.service.client.ServiceClient`
+whose wire is in-process.  It round-trips every request through the real
 byte protocol — encode, (optionally faulty) delivery, incremental decode,
 dispatch, response encode, client decode — with no threads and no event
 loop.  That makes it the crashtest's client: a
@@ -9,25 +10,24 @@ loop.  That makes it the crashtest's client: a
 a :class:`~repro.faults.models.FaultyWire` armed with one network fault
 perturbs exactly one exchange, deterministically.
 
-The client-side retry discipline is the production one: on a lost
-connection the request is resent *with the same request id* on a fresh
-session, after the seeded backoff schedule of
-:class:`~repro.storage.disk.RetryPolicy` — so the server's idempotency
-cache, not client caution, is what makes retries exactly-once.
+Only the wire is replaced.  ``request`` — resend *with the same request id*
+on a fresh session after the seeded backoff schedule, never retry inside an
+open BEGIN...COMMIT bracket — is the production client's own loop, so the
+server's idempotency cache, not client caution, is what makes retries
+exactly-once.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.errors import ConnectionLostError, TornFrameError
 from repro.faults.failpoints import fire
 from repro.service import protocol
+from repro.service.client import ServiceClient
 from repro.service.core import ServiceCore
 from repro.storage.disk import RetryPolicy
 
 
-class LoopbackConnection:
+class LoopbackConnection(ServiceClient):
     """A client and its server-side session, joined by an in-process wire."""
 
     def __init__(
@@ -39,21 +39,17 @@ class LoopbackConnection:
         retry_step_ms: float = 0.0,
         client_key: str = "loopback",
     ) -> None:
+        super().__init__(
+            "loopback", 0, retry_policy=retry_policy,
+            retry_step_ms=retry_step_ms,
+        )
         self.core = core
         self.wire = wire
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=5)
-        self.retry_step_ms = retry_step_ms
         # Deterministic ids: the crashtest replays the same id sequence at
         # every crash point; distinct connections need distinct keys (the
         # idempotency cache is keyed by request id alone).
-        self.client_key = client_key
-        self._next_id = 1
+        self._client_key = client_key
         self._session = None
-        self.reconnects = 0
-        # True while this client believes a BEGIN...COMMIT bracket is open.
-        # A lost connection aborts the bracket server-side, so statements
-        # in flight then must NOT be retried (see request()).
-        self._bracket_open = False
 
     # -- connection management ------------------------------------------------
 
@@ -70,71 +66,13 @@ class LoopbackConnection:
         self._session = None
         self._bracket_open = False
 
+    def _disconnect(self) -> None:
+        self.drop_connection()
+
     def close(self) -> None:
         if self._session is not None and not self._session.closed:
             self.core.close_session(self._session, "client close")
         self._session = None
-
-    # -- requests --------------------------------------------------------------
-
-    def request(self, message: dict) -> dict:
-        """Send one request; retry through connection loss; return the reply.
-
-        Exception: while a transaction bracket is open, a lost connection
-        means the server aborted the bracket — retrying the statement on a
-        fresh session would run it *outside* the bracket (autocommit), so
-        the loss is surfaced to the caller instead, who must restart the
-        bracket from BEGIN.
-        """
-        message = dict(message)
-        message.setdefault("id", self._fresh_id())
-        last_exc: Exception | None = None
-        for attempt in range(1, self.retry_policy.max_attempts + 1):
-            if attempt > 1:
-                self.reconnects += 1
-                steps = self.retry_policy.backoff_steps(attempt - 1)
-                if self.retry_step_ms:
-                    time.sleep(steps * self.retry_step_ms / 1000.0)
-            # Captured BEFORE the attempt: the drop paths inside _exchange
-            # reset the flag, and a loss that happened while the bracket
-            # was open must not be retried regardless.
-            in_bracket = self._bracket_open
-            try:
-                response = self._exchange(message)
-            except ConnectionLostError as exc:
-                if in_bracket:
-                    self._bracket_open = False
-                    raise
-                last_exc = exc
-                continue
-            self._track_bracket(message, response)
-            return response
-        raise ConnectionLostError(
-            f"request {message['id']} still failing after "
-            f"{self.retry_policy.max_attempts} attempts"
-        ) from last_exc
-
-    def _track_bracket(self, message: dict, response: dict) -> None:
-        if message.get("op") != "sql" or response.get("status") != "ok":
-            return
-        head = str(message.get("sql", "")).lstrip().upper()
-        if head.startswith("BEGIN"):
-            self._bracket_open = True
-        elif head.startswith(("COMMIT", "ROLLBACK")):
-            self._bracket_open = False
-
-    def execute(self, sql: str) -> dict:
-        return self.request({"op": "sql", "sql": sql})
-
-    def ingest(self, table: str, csv_text: str, *, batch: int = 64) -> dict:
-        return self.request(
-            {"op": "ingest", "table": table, "csv": csv_text, "batch": batch}
-        )
-
-    def _fresh_id(self) -> str:
-        request_id = f"{self.client_key}:{self._next_id}"
-        self._next_id += 1
-        return request_id
 
     # -- the wire ---------------------------------------------------------------
 

@@ -247,9 +247,6 @@ class DataPage(Page):
             return None
         return self.versions[self.slots[slot]]
 
-    def head_at_slot(self, slot: int) -> RecordVersion:
-        return self.versions[self.slots[slot]]
-
     def keys(self) -> list[bytes]:
         """All record keys present in the slot array, in key order."""
         return list(self._slot_keys)
@@ -275,16 +272,6 @@ class DataPage(Page):
         if slot is None:
             return
         index = self.slots[slot]
-        while True:
-            version = self.versions[index]
-            yield version
-            if not version.has_previous or version.vp_in_history:
-                return
-            index = version.vp
-
-    def chain_from(self, version_index: int) -> Iterator[RecordVersion]:
-        """Iterate newest-first starting from an explicit version index."""
-        index = version_index
         while True:
             version = self.versions[index]
             yield version

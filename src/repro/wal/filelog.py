@@ -6,10 +6,10 @@ exactly).  :class:`FileLogManager` extends it with a real log file:
 
 * every append buffers the framed record; ``force`` writes and fsyncs the
   buffered suffix, so the durable prefix on disk matches ``flushed_lsn``;
-* each on-disk frame is ``length(4) + crc32(4) + record bytes``, so a torn
-  or bit-garbled tail is *detected*, not just guessed at: the load scan
-  stops at the first frame whose length is implausible, whose CRC32
-  mismatches, or whose record bytes fail to decode;
+* each on-disk frame is a :mod:`repro.framing` frame (length + CRC32 +
+  record bytes), so a torn or bit-garbled tail is *detected*, not just
+  guessed at: the load scan stops at the first frame that is empty, short
+  or CRC-failing, or whose record bytes fail to decode;
 * the master checkpoint LSN lives in a small side file, written atomically
   (the "durable master record" a real engine keeps in the log header);
 * opening an existing path replays the file into memory — a process that
@@ -24,21 +24,19 @@ malformed record.
 from __future__ import annotations
 
 import os
-import zlib
 
+from repro import framing
 from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import fire
 from repro.wal.log import LogManager, _NO_MUTEX
 from repro.wal.records import LogRecord
 
-_LEN = 4
-_CRC = 4
-
 
 class FileLogManager(LogManager):
     """LogManager whose durable prefix lives in a real file."""
 
-    FRAME_BYTES = _LEN + _CRC   # keeps LSN arithmetic equal to file offsets
+    # Keeps LSN arithmetic equal to file offsets.
+    FRAME_BYTES = framing.HEADER_SIZE
 
     def __init__(self, path: str | os.PathLike) -> None:
         super().__init__()
@@ -63,24 +61,14 @@ class FileLogManager(LogManager):
         if len(data) < self.HEADER_BYTES:
             raise WALError(f"{self.path}: shorter than the log header")
         offset = self.HEADER_BYTES
-        while offset + self.FRAME_BYTES <= len(data):
-            length = int.from_bytes(data[offset : offset + _LEN], "big")
-            crc = int.from_bytes(
-                data[offset + _LEN : offset + _LEN + _CRC], "big"
-            )
-            end = offset + self.FRAME_BYTES + length
-            if length == 0 or end > len(data):
-                break  # torn tail: stop at the first malformed frame
-            raw = data[offset + self.FRAME_BYTES : end]
-            if zlib.crc32(raw) != crc:
-                break  # garbled frame: the CRC catches bit damage too
+        for lsn, raw in framing.scan(data, offset):
             try:
                 LogRecord.decode(raw)
             except LogFormatError:
                 break
-            self._lsns.append(offset)
+            self._lsns.append(lsn)
             self._raws.append(raw)
-            offset = end
+            offset = lsn + self.FRAME_BYTES + len(raw)
         self._end_lsn = offset
         self._flushed_lsn = offset
         if offset < len(data):
@@ -101,13 +89,7 @@ class FileLogManager(LogManager):
         # between LSN assignment and the pending-frame push.
         with self.mutex or _NO_MUTEX:
             lsn = super().append(record)
-            raw = self._raws[-1]
-            frame = (
-                len(raw).to_bytes(_LEN, "big")
-                + zlib.crc32(raw).to_bytes(_CRC, "big")
-                + raw
-            )
-            self._pending.append(frame)
+            self._pending.append(framing.encode(self._raws[-1]))
             return lsn
 
     def force(self, upto_lsn: int | None = None) -> None:

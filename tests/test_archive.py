@@ -9,6 +9,7 @@ and (degraded, not wrong) when a stored block is damaged.
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.engine import ImmortalDB
 from repro.core.integrity import integrity_report, verify_integrity
 from repro.core.rowcodec import ColumnType
 from repro.errors import PageQuarantinedError
+from repro.faults.models import tear_log_tail
 from repro.faults.crashtest import (
     CrashTestConfig,
     enumerate_crossings,
@@ -140,20 +142,88 @@ class TestArchiveStore:
         assert store.read_block(a) == b"one"
         assert store.last_manifest() is None
 
-    def test_file_reopen_ignores_torn_tail(self, tmp_path):
-        path = str(tmp_path / "arch")
+    # Tails for the frame-damage sweeps: a zlib block, which the manifest
+    # decoder must never be handed, and a newer manifest, which must never
+    # be silently skipped while its damaged frame stays in the store.
+    TAILS = (zlib.compress(b"cold history " * 8), {"refs": [7]})
+
+    @staticmethod
+    def _store_with_tail(path: str, *tail) -> tuple[int, int]:
+        """[block, manifest] synced, then each ``tail`` record synced.
+
+        A tail record is bytes (a block) or a dict (a manifest).  Returns
+        the file size before and after the first tail frame.
+        """
         store = ArchiveStore(path)
-        a = store.append_block(b"alpha")
+        store.append_block(b"alpha")
         store.append_manifest({"refs": []})
-        store.sync()
+        sizes = []
+        for record in tail:
+            store.sync()
+            sizes.append(os.path.getsize(path))
+            if isinstance(record, dict):
+                store.append_manifest(record)
+            else:
+                store.append_block(record)
         store.close()
-        with open(path, "ab") as fh:  # torn frame: header, no payload
-            fh.write(b"\x00\x00\x00\x00\x09")
+        sizes.append(os.path.getsize(path))
+        return sizes[0], sizes[1]
+
+    @staticmethod
+    def _assert_clean_prefix(path: str, prefix: int) -> None:
+        """Reopen keeps exactly [block, manifest]; appends land after it."""
         reopened = ArchiveStore(path)
         assert reopened.record_count == 2
-        assert reopened.read_block(a) == b"alpha"
+        assert reopened.read_block(0) == b"alpha"
         assert reopened.last_manifest() == {"refs": []}
+        assert os.path.getsize(path) == prefix
+        after = reopened.append_block(b"after")
         reopened.close()
+        final = ArchiveStore(path)
+        assert final.record_count == 3
+        assert final.read_block(after) == b"after"
+        final.close()
+
+    def test_file_reopen_ignores_torn_tail(self, tmp_path):
+        path = str(tmp_path / "arch")
+        prefix, size = self._store_with_tail(path, b"omega")
+        tear_log_tail(path, drop_bytes=size - prefix)
+        with open(path, "ab") as fh:  # torn frame: header, no payload
+            fh.write(b"\x00\x00\x00\x00\x09")
+        self._assert_clean_prefix(path, prefix)
+        # The sweep the WAL runs: every truncation point of the final
+        # frame, and one flipped bit at each of its bytes.
+        for n, tail in enumerate(self.TAILS):
+            prefix, size = self._store_with_tail(str(tmp_path / f"t{n}"), tail)
+            for cut in range(1, size - prefix + 1):
+                path = str(tmp_path / f"t{n}-cut{cut}")
+                self._store_with_tail(path, tail)
+                tear_log_tail(path, drop_bytes=cut)
+                self._assert_clean_prefix(path, prefix)
+            for offset in range(prefix, size):
+                path = str(tmp_path / f"t{n}-flip{offset}")
+                self._store_with_tail(path, tail)
+                tear_log_tail(path, garble_at=offset)
+                self._assert_clean_prefix(path, prefix)
+
+    def test_flipped_type_byte_is_a_malformed_frame(self, tmp_path):
+        """The record type is covered by the frame's CRC like its payload.
+
+        Damage lands mid-store here, with a newer manifest after it.
+        Flipping the low bit of whichever byte holds the type turns the
+        block into a manifest; that must read as a malformed frame, so the
+        scan stops and truncates there rather than adopting the records
+        beyond it.
+        """
+        block, manifest = self.TAILS
+        prefix, size = self._store_with_tail(
+            str(tmp_path / "t"), block, manifest
+        )
+        for offset in range(prefix, size):
+            path = str(tmp_path / f"flip{offset}")
+            self._store_with_tail(path, block, manifest)
+            tear_log_tail(path, garble_at=offset)
+            self._assert_clean_prefix(path, prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ from repro.faults.crashtest import (
     replay_crash_point,
     run_workload,
 )
+from repro.storage.constants import NO_PAGE
+from repro.storage.page import DataPage, decode_page
+from repro.wal.records import MultiPageImage
 
 # Small but seam-complete: enough transactions for several checkpoints and
 # marks, a tight buffer for evictions, fat values for page pressure.
@@ -190,6 +193,50 @@ class TestBatchedFlushCrossings:
             report = replay_crash_point(self.BATCHED, crossing)
             assert report.crashed, names[crossing]
             assert report.ok, (names[crossing], report.problems)
+
+    def test_split_pages_never_reach_disk_before_their_smo(self):
+        """A page pointing at a split-made page is written only once the
+        split's SMO record is durable.
+
+        A split installs a brand-new page (history page, right sibling, or
+        moved root leaf), and that admission may evict and batch-write cold
+        dirty pages.  Were the rebuilt leaf swapped in first, a batch could
+        carry it to disk pointing at a page no durable log record creates,
+        and a crash right then left a dangling history link.
+        """
+        config = dataclasses.replace(
+            CrashTestConfig(seed=0), eviction="2q", flush_batch=4
+        )
+        db, table = build_db(config)
+        logged: dict[int, int] = {}      # page id -> LSN of the SMO making it
+        append = db.log.append
+
+        def tracking_append(record):
+            lsn = append(record)
+            if isinstance(record, MultiPageImage):
+                for pid in record.affected_pages():
+                    logged.setdefault(pid, lsn)
+            return lsn
+
+        write_page = db.disk.write_page
+        writes = 0
+
+        def checked_write(pid, raw):
+            nonlocal writes
+            page = decode_page(raw)
+            if isinstance(page, DataPage):
+                for target in (page.history_page_id, page.next_leaf_id):
+                    if target == NO_PAGE:
+                        continue
+                    assert target in logged, (pid, target)
+                    assert logged[target] < db.log.flushed_lsn, (pid, target)
+            writes += 1
+            write_page(pid, raw)
+
+        db.log.append = tracking_append
+        db.disk.write_page = checked_write
+        run_workload(db, table, config, ShadowOracle())
+        assert writes > 0 and db.buffer.stats.flush_batches > 0
 
     def test_repro_args_round_trip_new_flags(self):
         args = self.BATCHED.repro_args(crossing=7)
